@@ -19,6 +19,35 @@ from repro.sim.trace import Trace
 from repro.types import ProcessId, Time
 
 
+_Series = list[tuple[Time, bool]]
+
+
+class _SuspicionIndex:
+    """``(owner, target) ->`` suspicion series of one detector label
+    (``None``: any label).
+
+    The first question about an owner reads that owner's ``"suspect"``
+    rows once and groups them by target, so a checker that walks every
+    monitored pair reads each row once instead of once per pair.
+    """
+
+    def __init__(self, trace: Trace, detector: str | None = None) -> None:
+        self._trace = trace
+        self._detector = detector
+        self._by_owner: dict[ProcessId, dict[ProcessId, _Series]] = {}
+
+    def __call__(self, owner: ProcessId, target: ProcessId) -> _Series:
+        by_target = self._by_owner.get(owner)
+        if by_target is None:
+            by_target = self._by_owner[owner] = {}
+            detector = self._detector
+            for r in self._trace.records(kind="suspect", pid=owner):
+                if detector is None or r.get("detector") == detector:
+                    by_target.setdefault(r.get("target"), []).append(
+                        (r.time, bool(r["suspected"])))
+        return by_target.get(target, [])
+
+
 def suspicion_series(
     trace: Trace,
     owner: ProcessId,
@@ -27,16 +56,7 @@ def suspicion_series(
 ) -> list[tuple[Time, bool]]:
     """Time-ordered ``(time, suspected)`` output of ``owner``'s module about
     ``target`` (optionally restricted to one named detector)."""
-
-    def match(r) -> bool:
-        if r.get("target") != target:
-            return False
-        return detector is None or r.get("detector") == detector
-
-    return [
-        (r.time, bool(r["suspected"]))
-        for r in trace.records(kind="suspect", pid=owner, where=match)
-    ]
+    return _SuspicionIndex(trace, detector)(owner, target)
 
 
 def suspected_at(
@@ -131,13 +151,18 @@ def check_strong_completeness(
     """Every crashed target is eventually permanently suspected by every
     correct owner that monitors it (paper: Strong Completeness; ``pairs``
     restricts the monitoring relation under local pair selection)."""
+    return _strong_completeness(_SuspicionIndex(trace, detector), owners,
+                                targets, schedule, pairs)
+
+
+def _strong_completeness(series_of, owners, targets, schedule, pairs):
     report = OracleReport("strong completeness")
     for owner, target in _monitoring_pairs(owners, targets, pairs):
         if not schedule.is_faulty(owner):
             ct = schedule.crash_time(target)
             if ct is None:
                 continue  # completeness constrains only crashed targets
-            series = suspicion_series(trace, owner, target, detector)
+            series = series_of(owner, target)
             conv = convergence_time(series, lambda s: s)
             ok = conv is not None
             detail = "" if ok else "not permanently suspected"
@@ -160,15 +185,20 @@ def check_eventual_strong_accuracy(
     """Eventually no correct owner suspects any correct target it monitors
     (paper: Eventual Strong Accuracy; ``pairs`` restricts the monitoring
     relation under local pair selection)."""
+    return _eventual_strong_accuracy(_SuspicionIndex(trace, detector), owners,
+                                     targets, schedule, pairs)
+
+
+def _eventual_strong_accuracy(series_of, owners, targets, schedule, pairs):
     report = OracleReport("eventual strong accuracy")
     for owner, target in _monitoring_pairs(owners, targets, pairs):
         if not schedule.is_faulty(owner):
             if schedule.is_faulty(target):
                 continue
-            series = suspicion_series(trace, owner, target, detector)
+            series = series_of(owner, target)
             conv = convergence_time(series, lambda s: not s)
             ok = conv is not None
-            mistakes = false_positive_count(trace, owner, target, schedule, detector)
+            mistakes = _mistakes(series, None)  # the target is correct
             report.pairs.append(
                 PairVerdict(owner, target, ok, conv, f"{mistakes} mistakes")
             )
@@ -185,11 +215,17 @@ def check_perpetual_strong_accuracy(
 ) -> OracleReport:
     """No target is ever suspected before it crashes (the P accuracy;
     ``pairs`` restricts the monitoring relation under local selection)."""
+    return _perpetual_strong_accuracy(_SuspicionIndex(trace, detector),
+                                      owners, targets, schedule, pairs)
+
+
+def _perpetual_strong_accuracy(series_of, owners, targets, schedule, pairs):
     report = OracleReport("perpetual strong accuracy")
     for owner, target in _monitoring_pairs(owners, targets, pairs):
         if schedule.is_faulty(owner):
             continue
-        mistakes = false_positive_count(trace, owner, target, schedule, detector)
+        mistakes = _mistakes(series_of(owner, target),
+                             schedule.crash_time(target))
         ok = mistakes == 0
         report.pairs.append(
             PairVerdict(owner, target, ok, 0.0 if ok else None,
@@ -208,10 +244,15 @@ def check_trusting_accuracy(
 ) -> OracleReport:
     """The T accuracy (paper Section 9): (a) every correct target eventually
     permanently trusted; (b) any trust revocation implies a real crash."""
+    return _trusting_accuracy(_SuspicionIndex(trace, detector), owners,
+                              targets, schedule, pairs)
+
+
+def _trusting_accuracy(series_of, owners, targets, schedule, pairs):
     report = OracleReport("trusting accuracy")
     for owner, target in _monitoring_pairs(owners, targets, pairs):
         if not schedule.is_faulty(owner):
-            series = suspicion_series(trace, owner, target, detector)
+            series = series_of(owner, target)
             ok = True
             conv: Optional[Time] = None
             detail = ""
@@ -233,17 +274,6 @@ def check_trusting_accuracy(
     return report
 
 
-def _owners_of(
-    target: ProcessId,
-    owners: Sequence[ProcessId],
-    pairs: Iterable[tuple[ProcessId, ProcessId]] | None,
-) -> list[ProcessId]:
-    """The owners whose module monitors ``target`` under ``pairs``."""
-    if pairs is None:
-        return [o for o in owners if o != target]
-    return [o for o, t in pairs if t == target and o != target]
-
-
 def check_perpetual_weak_accuracy(
     trace: Trace,
     owners: Sequence[ProcessId],
@@ -252,20 +282,13 @@ def check_perpetual_weak_accuracy(
     detector: str | None = None,
     pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
 ) -> tuple[bool, Optional[ProcessId]]:
-    """The S accuracy: some correct target is never suspected by any owner.
+    """The S accuracy: some correct target is never suspected by any
+    correct owner that monitors it.
 
     Returns ``(ok, witness_target)``.
     """
-    live_owners = [o for o in owners if not schedule.is_faulty(o)]
-    for target in targets:
-        if schedule.is_faulty(target):
-            continue
-        if all(
-            not any(s for _, s in suspicion_series(trace, o, target, detector))
-            for o in _owners_of(target, live_owners, pairs)
-        ):
-            return True, target
-    return False, None
+    return _weak_accuracy(_SuspicionIndex(trace, detector), owners, targets,
+                          schedule, pairs, _never_suspected)
 
 
 def check_eventual_weak_accuracy(
@@ -281,16 +304,33 @@ def check_eventual_weak_accuracy(
 
     Returns ``(ok, witness_target)``.
     """
-    live_owners = [o for o in owners if not schedule.is_faulty(o)]
+    return _weak_accuracy(_SuspicionIndex(trace, detector), owners, targets,
+                          schedule, pairs, _eventually_trusted)
+
+
+def _never_suspected(series: _Series) -> bool:
+    return not any(s for _, s in series)
+
+
+def _eventually_trusted(series: _Series) -> bool:
+    return convergence_time(series, lambda s: not s) is not None
+
+
+def _weak_accuracy(series_of, owners, targets, schedule, pairs, trusts):
+    """The first correct target that every correct owner monitoring it
+    ``trusts`` (judged on its suspicion series): ``(ok, witness_target)``."""
+    live = [o for o in owners if not schedule.is_faulty(o)]
+    if pairs is not None:  # owners by target, built once, not per target
+        live_set, monitors_of = set(live), {}
+        for o, t in pairs:
+            if o != t and o in live_set:
+                monitors_of.setdefault(t, []).append(o)
     for target in targets:
         if schedule.is_faulty(target):
             continue
-        if all(
-            convergence_time(
-                suspicion_series(trace, o, target, detector),
-                lambda s: not s) is not None
-            for o in _owners_of(target, live_owners, pairs)
-        ):
+        monitors = ([o for o in live if o != target] if pairs is None
+                    else monitors_of.get(target, []))
+        if all(trusts(series_of(o, target)) for o in monitors):
             return True, target
     return False, None
 
@@ -389,50 +429,39 @@ class DetectorVerdicts:
     completeness_detail: str = ""
 
 
-def _acc_eventual_strong(trace, pids, schedule, label, pairs):
-    report = check_eventual_strong_accuracy(trace, pids, pids, schedule,
-                                            detector=label, pairs=pairs)
+def _first_failure(report: OracleReport) -> tuple[bool, str]:
     return report.ok, "" if report.ok else report.failures()[0].detail
 
 
-def _acc_perpetual_strong(trace, pids, schedule, label, pairs):
-    report = check_perpetual_strong_accuracy(trace, pids, pids, schedule,
-                                             detector=label, pairs=pairs)
-    return report.ok, "" if report.ok else report.failures()[0].detail
+def _battery(check):
+    """An accuracy battery judged by a report-returning checker."""
+    def judge(series_of, trace, pids, schedule, pairs):
+        return _first_failure(check(series_of, pids, pids, schedule, pairs))
+    return judge
 
 
-def _acc_trusting(trace, pids, schedule, label, pairs):
-    report = check_trusting_accuracy(trace, pids, pids, schedule,
-                                     detector=label, pairs=pairs)
-    return report.ok, "" if report.ok else report.failures()[0].detail
+def _witness_battery(trusts, failure: str):
+    """An accuracy battery judged by a weak-accuracy witness search."""
+    def judge(series_of, trace, pids, schedule, pairs):
+        ok, witness = _weak_accuracy(series_of, pids, pids, schedule, pairs,
+                                     trusts)
+        return ok, f"witness {witness}" if ok else failure
+    return judge
 
 
-def _acc_perpetual_weak(trace, pids, schedule, label, pairs):
-    ok, witness = check_perpetual_weak_accuracy(trace, pids, pids, schedule,
-                                                detector=label, pairs=pairs)
-    return ok, (f"witness {witness}" if ok
-                else "every correct process was suspected at some point")
-
-
-def _acc_eventual_weak(trace, pids, schedule, label, pairs):
-    ok, witness = check_eventual_weak_accuracy(trace, pids, pids, schedule,
-                                               detector=label, pairs=pairs)
-    return ok, (f"witness {witness}" if ok
-                else "no correct process is eventually trusted by all")
-
-
-def _acc_leader_agreement(trace, pids, schedule, label, pairs):
-    report = check_leader_agreement(trace, pids, schedule)
-    return report.ok, "" if report.ok else report.failures()[0].detail
+def _acc_leader_agreement(series_of, trace, pids, schedule, pairs):
+    return _first_failure(check_leader_agreement(trace, pids, schedule))
 
 
 #: Accuracy-property dispatch: what a :class:`DetectorAssumptions` may name.
 ACCURACY_PROPERTIES = {
-    "eventual_strong": _acc_eventual_strong,
-    "perpetual_strong": _acc_perpetual_strong,
-    "trusting": _acc_trusting,
-    "perpetual_weak": _acc_perpetual_weak,
-    "eventual_weak": _acc_eventual_weak,
+    "eventual_strong": _battery(_eventual_strong_accuracy),
+    "perpetual_strong": _battery(_perpetual_strong_accuracy),
+    "trusting": _battery(_trusting_accuracy),
+    "perpetual_weak": _witness_battery(
+        _never_suspected, "every correct process was suspected at some point"),
+    "eventual_weak": _witness_battery(
+        _eventually_trusted, "no correct process is eventually trusted by all"),
     "leader_agreement": _acc_leader_agreement,
 }
 
@@ -450,19 +479,19 @@ def check_detector_properties(
     spec's registered detector, so the ``oracle_accuracy_ok`` /
     ``oracle_completeness_ok`` verdict fields always mean "satisfied what
     this detector class promises" — ◇P runs keep the historical battery
-    bit for bit.
+    bit for bit.  Both batteries share one :class:`_SuspicionIndex`, so
+    each owner's ``"suspect"`` rows are read once per call.
     """
     pairs = None if pairs is None else list(pairs)
+    pids = list(pids)
+    series_of = _SuspicionIndex(trace, assumptions.label)
     acc_ok, acc_detail = ACCURACY_PROPERTIES[assumptions.accuracy](
-        trace, list(pids), schedule, assumptions.label, pairs)
+        series_of, trace, pids, schedule, pairs)
     if assumptions.completeness == "none":
         comp_ok, comp_detail = True, "not required"
     else:
-        report = check_strong_completeness(trace, pids, pids, schedule,
-                                           detector=assumptions.label,
-                                           pairs=pairs)
-        comp_ok = report.ok
-        comp_detail = "" if comp_ok else report.failures()[0].detail
+        comp_ok, comp_detail = _first_failure(_strong_completeness(
+            series_of, pids, pids, schedule, pairs))
     return DetectorVerdicts(
         accuracy_ok=bool(acc_ok), completeness_ok=bool(comp_ok),
         accuracy_property=assumptions.accuracy,
@@ -482,8 +511,13 @@ def false_positive_count(
     target's crash (or ever, for a correct target) — the oracle's "mistakes"
     in the paper's sense, which ◇P must keep finite.
     """
-    series = suspicion_series(trace, owner, target, detector)
-    ct = schedule.crash_time(target)
+    return _mistakes(suspicion_series(trace, owner, target, detector),
+                     schedule.crash_time(target))
+
+
+def _mistakes(series: _Series, ct: Optional[Time]) -> int:
+    """Suspicion onsets in ``series`` before crash time ``ct`` (None: the
+    target never crashed); see :func:`false_positive_count`."""
     count = 0
     prev = None
     for t, s in series:

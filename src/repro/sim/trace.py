@@ -18,11 +18,15 @@ plus algorithm-specific kinds (``"ping"``, ``"decide"``, ``"duty"``, ...).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.sim.sinks import TraceSink, make_sink
 from repro.types import ProcessId, Time
+
+#: A group of the row view: ``(kind, pid)``, where ``None`` means "any".
+_ViewKey = tuple[Optional[str], Optional[ProcessId]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +55,14 @@ class Trace:
     are maintained here, out-of-band, so they stay exact in every sink
     mode; only row-level queries (:meth:`records`, :meth:`series`) are
     limited to the sink's retained window.
+
+    Row-level queries are answered from a view of the retained rows
+    grouped by ``(kind, pid)`` (``None`` standing for "any"), built in one
+    pass on the first query after an append.  A query therefore costs the
+    size of its group, not of the whole trace.  The view is stamped with
+    :attr:`total_recorded`, so an append — or a ``ring:N`` eviction, which
+    only an append causes — rebuilds it on the next query.  It is never
+    pickled.
     """
 
     def __init__(self, sink: Union[TraceSink, str, None] = None) -> None:
@@ -67,6 +79,8 @@ class Trace:
         # wants everything.  Against a non-retaining sink, records whose
         # kind is outside this set are never constructed (lazy fast path).
         self._needed_kinds: Optional[set[str]] = set()
+        self._view: dict[_ViewKey, list[TraceRecord]] = {}
+        self._view_at = -1  # total_recorded the view was built at
 
     def bind_clock(self, now_fn: Callable[[], Time]) -> None:
         self._now_fn = now_fn
@@ -121,7 +135,13 @@ class Trace:
         state["_now_fn"] = None   # bound clock closures don't pickle
         state["_observers"] = []  # run-local; may close over live objects
         state["_needed_kinds"] = set()
+        del state["_view"], state["_view_at"]  # derived; rebuilt on demand
         return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._view = {}
+        self._view_at = -1
 
     # -- writing ------------------------------------------------------------
 
@@ -172,6 +192,21 @@ class Trace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._sink.retained())
 
+    def _grouped(self) -> dict[_ViewKey, list[TraceRecord]]:
+        """The retained rows grouped by ``(kind, pid)``, ``(kind, None)``,
+        ``(None, pid)`` and ``(None, None)``, each group in time order."""
+        if self._view_at != self._total:
+            view: defaultdict[_ViewKey, list[TraceRecord]] = defaultdict(list)
+            for r in self._sink.retained():
+                kind, pid = r.kind, r.pid
+                view[kind, None].append(r)
+                view[None, None].append(r)
+                if pid is not None:  # else already filed under "any pid"
+                    view[kind, pid].append(r)
+                    view[None, pid].append(r)
+            self._view, self._view_at = view, self._total
+        return self._view
+
     def records(
         self,
         kind: str | None = None,
@@ -179,16 +214,10 @@ class Trace:
         where: Callable[[TraceRecord], bool] | None = None,
     ) -> list[TraceRecord]:
         """All retained records matching the given filters, in time order."""
-        out = []
-        for r in self._sink.retained():
-            if kind is not None and r.kind != kind:
-                continue
-            if pid is not None and r.pid != pid:
-                continue
-            if where is not None and not where(r):
-                continue
-            out.append(r)
-        return out
+        rows = self._grouped().get((kind, pid), ())
+        if where is None:
+            return list(rows)
+        return [r for r in rows if where(r)]
 
     def series(
         self,

@@ -84,6 +84,15 @@ class TestAccuracy:
                                              CrashSchedule.none())
         assert not rep.ok
 
+    def test_mistake_count_matches_false_positive_count(self):
+        t = synth_trace([(1.0, "p", "q", True), (3.0, "p", "q", False),
+                         (4.0, "p", "r", True), (5.0, "p", "q", True),
+                         (9.0, "p", "q", False)])
+        rep = check_eventual_strong_accuracy(t, ["p"], ["q"],
+                                             CrashSchedule.none())
+        n = false_positive_count(t, "p", "q", CrashSchedule.none())
+        assert n == 2 and rep.pairs[0].detail == f"{n} mistakes"
+
     def test_faulty_targets_not_constrained(self):
         t = synth_trace([(1.0, "p", "q", True)])
         rep = check_eventual_strong_accuracy(t, ["p"], ["q"],
