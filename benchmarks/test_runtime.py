@@ -6,7 +6,8 @@ to carry: everything here goes through ``RunSpec → execute``, the same
 path scenarios, sweeps, and chaos campaigns use.
 """
 
-from repro.runtime import ParallelExecutor, RunSpec, execute, instantiate
+import repro
+from repro.runtime import RunSpec, execute, instantiate
 
 SPEC = RunSpec(graph="ring:4", seed=3, max_time=400.0)
 
@@ -30,18 +31,16 @@ def test_execute_counters_sink(benchmark):
 
 
 def test_campaign_serial(benchmark):
-    specs = [RunSpec(graph="ring:3", seed=s, max_time=300.0)
-             for s in range(4)]
+    base = RunSpec(graph="ring:3", max_time=300.0)
     results = benchmark.pedantic(
-        lambda: ParallelExecutor(workers=1).run_specs(specs),
+        lambda: repro.sweep(base, seeds=range(4), workers=1),
         rounds=1, iterations=1)
     assert all(r.ok for r in results)
 
 
 def test_campaign_parallel_4_workers(benchmark):
-    specs = [RunSpec(graph="ring:3", seed=s, max_time=300.0)
-             for s in range(4)]
+    base = RunSpec(graph="ring:3", max_time=300.0)
     results = benchmark.pedantic(
-        lambda: ParallelExecutor(workers=4).run_specs(specs),
+        lambda: repro.sweep(base, seeds=range(4), workers=4),
         rounds=1, iterations=1)
     assert all(r.ok for r in results)

@@ -72,7 +72,6 @@ class ChaosConfig:
     #: invariant must pass; ``transport=False`` exposes raw lossy channels
     #: to the algorithms (negative testing — expect failures).
     transport: bool = True
-    oracle: str = "hb"
     #: Which failure detector every run uses, by registry name
     #: (:data:`repro.oracles.registry.REGISTRY`); the default keeps the
     #: historical heartbeat ◇P.  The detector knob consumes no randomness
@@ -193,7 +192,6 @@ def build_run(run_seed: int, cfg: ChaosConfig) -> Scenario:
         name=f"chaos-{run_seed}",
         graph=graph_spec,
         algorithm=algorithm,
-        oracle=cfg.oracle,
         detector=cfg.detector,
         detector_params=dict(cfg.detector_params),
         client=client,

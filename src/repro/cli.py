@@ -193,7 +193,7 @@ def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
     from repro.analysis.report import Table
     from repro.analysis.stats import sweep_many
     from repro.obs import CampaignTelemetry, write_jsonl
-    from repro.runtime import ParallelExecutor, SupervisedExecutor
+    from repro.runtime import SupervisedExecutor
     from repro.runtime.store import resumable_map, spec_hash
     from repro.scenario import Scenario
 
@@ -207,9 +207,9 @@ def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
     if progress is not None:
         progress.start()
     try:
+        executor = SupervisedExecutor(workers=workers, timeout=task_timeout)
+        on_result = None if progress is None else progress.update
         if store is not None:
-            executor = SupervisedExecutor(workers=workers,
-                                          timeout=task_timeout)
             rows = resumable_map(
                 _sweep_one, shards,
                 keys=[spec_hash(dataclasses.replace(base, seed=int(seed)))
@@ -217,11 +217,9 @@ def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
                 encode=lambda row: row,
                 decode=lambda payload, i, item: payload,
                 store=store, resume=resume, executor=executor,
-                on_result=(None if progress is None else progress.update))
+                on_result=on_result)
         else:
-            rows = ParallelExecutor(workers=workers, timeout=task_timeout).map(
-                _sweep_one, shards,
-                on_result=(None if progress is None else progress.update))
+            rows = executor.map(_sweep_one, shards, on_result=on_result)
     finally:
         if progress is not None:
             progress.finish()
@@ -731,7 +729,7 @@ def cmd_run(names: Sequence[str], workers: int = 1,
             metrics_out: str | None = None,
             trace_sink: str | None = None,
             task_timeout: float | None = None) -> int:
-    from repro.runtime import ParallelExecutor
+    from repro.runtime import SupervisedExecutor
 
     registry = _registry()
     if trace_sink is not None:
@@ -748,9 +746,9 @@ def cmd_run(names: Sequence[str], workers: int = 1,
         print("use 'python -m repro list'", file=sys.stderr)
         return 2
     failures = 0
-    outcomes = ParallelExecutor(workers=workers,
-                                timeout=task_timeout).map(_run_experiment,
-                                                          names)
+    outcomes = SupervisedExecutor(workers=workers,
+                                  timeout=task_timeout).map(_run_experiment,
+                                                            names)
     for result, dt in outcomes:
         print(result.render())
         print(f"\n({dt:.1f}s wall)\n{'=' * 72}")

@@ -5,7 +5,8 @@ wired, executed, and judged:
 
 * :class:`~repro.runtime.spec.RunSpec` — declarative, picklable
   description of one run (topology, seed, fault/delay models, transport,
-  oracle, algorithm, workload, crash schedule, trace-sink mode);
+  failure detector, algorithm, workload, crash schedule, trace-sink
+  mode);
 * :mod:`~repro.runtime.builder` — the canonical builder
   (:func:`~repro.runtime.builder.build_system`,
   :func:`~repro.runtime.builder.instantiate`,
@@ -14,12 +15,10 @@ wired, executed, and judged:
   delegates to;
 * :class:`~repro.runtime.result.RunResult` — the uniform outcome envelope
   (verdicts, metrics, trace handle + sink mode);
-* :class:`~repro.runtime.executor.ParallelExecutor` — deterministic
-  multi-core fan-out of spec lists (``--workers N`` on the CLI), backed
-  by the fault-tolerant
-  :class:`~repro.runtime.executor.SupervisedExecutor` (per-task
-  timeouts, crashed-worker detection, seeded backoff retry, graceful
-  serial degradation);
+* :class:`~repro.runtime.executor.SupervisedExecutor` — deterministic
+  multi-core fan-out (``--workers N`` on the CLI) with per-task
+  timeouts, crashed-worker detection, seeded backoff retry, and graceful
+  serial degradation;
 * :class:`~repro.runtime.store.ResultStore` /
   :func:`~repro.runtime.store.spec_hash` — content-addressed result
   caching and campaign checkpoint/resume (``--store`` / ``--resume``);
@@ -45,7 +44,6 @@ from repro.runtime.builder import (
     justify_violations,
 )
 from repro.runtime.executor import (
-    ParallelExecutor,
     RetryPolicy,
     SupervisedExecutor,
     mp_context,
@@ -64,7 +62,6 @@ __all__ = [
     "INSTANCE",
     "BuiltRun",
     "PROGRESS_SCHEMA",
-    "ParallelExecutor",
     "ProgressReporter",
     "ResultStore",
     "RetryPolicy",

@@ -1,10 +1,10 @@
 """The declarative description of one simulated dining run.
 
 A :class:`RunSpec` fully determines a run — topology, seed, delay and
-fault models, transport policy, oracle, dining algorithm, workload, crash
-schedule, and trace-sink mode.  It is plain data (strings, numbers,
-mappings), so it serializes to JSON, pickles across worker processes, and
-compares by value; the single canonical builder in
+fault models, transport policy, failure detector, dining algorithm,
+workload, crash schedule, and trace-sink mode.  It is plain data
+(strings, numbers, mappings), so it serializes to JSON, pickles across
+worker processes, and compares by value; the single canonical builder in
 :mod:`repro.runtime.builder` turns it into a wired engine, and
 :func:`repro.runtime.builder.execute` turns it into a
 :class:`~repro.runtime.result.RunResult`.
@@ -114,6 +114,14 @@ def parse_graph(spec: str) -> nx.Graph:
             f"supported kinds: {_graph_kind_help()})") from exc
 
 
+#: Fields removed from :class:`RunSpec`, each at the one value it may
+#: still carry.  Stored specs (journal lines, example files) were written
+#: with them: :meth:`RunSpec.from_dict` drops them, and
+#: :func:`~repro.runtime.store.spec_hash` hashes them back in so every
+#: stored key stays valid.
+REMOVED_FIELDS: dict[str, Any] = {"oracle": "hb"}
+
+
 @dataclass
 class RunSpec:
     """A declaratively-described dining run (pure data, fully picklable)."""
@@ -121,12 +129,6 @@ class RunSpec:
     name: str = "run"
     graph: str = "ring:4"
     algorithm: str = "wf-ewx"
-    #: Deprecated spelling of the detector choice (``hb`` | ``perfect``).
-    #: Kept for stored-spec compatibility; any non-default value raises a
-    #: DeprecationWarning pointing at ``detector=`` and maps onto the
-    #: registry (``hb`` → ``eventually_perfect``, ``perfect`` →
-    #: ``perfect``).  New specs should leave it alone.
-    oracle: str = "hb"
     client: str = "eager:2"
     crashes: Mapping[str, float] = field(default_factory=dict)
     seed: int = 0
@@ -211,27 +213,11 @@ class RunSpec:
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be a probability in [0, 1], got {value}")
-        if self.oracle not in ("hb", "perfect"):
-            raise ConfigurationError(
-                f"unknown oracle kind {self.oracle!r} (use hb | perfect)")
         # Detector name/params are owned by the oracle registry; eager
         # validation here means an unknown detector or parameter fails at
         # spec construction with the full registry enumerated.
-        from repro.oracles.registry import DEFAULT_DETECTOR, DetectorSpec
+        from repro.oracles.registry import DetectorSpec
 
-        if self.oracle != "hb":
-            if self.detector != DEFAULT_DETECTOR or self.detector_params:
-                raise ConfigurationError(
-                    f"oracle={self.oracle!r} conflicts with "
-                    f"detector={self.detector!r}; the oracle knob is "
-                    "deprecated — set detector/detector_params only")
-            import warnings
-
-            warnings.warn(
-                f"RunSpec.oracle={self.oracle!r} is deprecated; use "
-                f"detector={'perfect' if self.oracle == 'perfect' else self.detector!r} "
-                "(see repro.DetectorSpec and docs/detectors.md)",
-                DeprecationWarning, stacklevel=3)
         DetectorSpec(self.detector, dict(self.detector_params))
         # Pair-selection grammar is owned by PairSelection.parse.
         from repro.core.extraction import PairSelection
@@ -244,18 +230,29 @@ class RunSpec:
         make_sink(self.trace)
 
     def detector_spec(self) -> "Any":
-        """Resolve the spec's detector fields into a registry
-        :class:`~repro.oracles.registry.DetectorSpec` (legacy ``oracle``
-        values map through ``DetectorSpec.from_legacy_oracle``)."""
+        """The spec's detector fields as a registry
+        :class:`~repro.oracles.registry.DetectorSpec`."""
         from repro.oracles.registry import DetectorSpec
 
-        if self.oracle != "hb":
-            return DetectorSpec.from_legacy_oracle(self.oracle, seed=self.seed)
         return DetectorSpec(self.detector, dict(self.detector_params),
                             seed=self.seed)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
+        """Build a spec from plain data (a JSON file, a journal line).
+
+        A key in :data:`REMOVED_FIELDS` is dropped when it carries the
+        field's one remaining value; any other value names its
+        replacement instead of silently running a different detector.
+        """
+        data = dict(data)
+        for name, kept in REMOVED_FIELDS.items():
+            value = data.pop(name, kept)
+            if value != kept:
+                raise ConfigurationError(
+                    f"{name}={value!r} is no longer supported: choose the "
+                    'failure detector with detector=, e.g. detector="perfect" '
+                    "(see docs/detectors.md)")
         unknown = set(data) - {f.name for f in cls.__dataclass_fields__.values()}
         if unknown:
             raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")

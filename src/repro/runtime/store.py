@@ -39,7 +39,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.executor import SupervisedExecutor
-from repro.runtime.spec import RunSpec
+from repro.runtime.spec import REMOVED_FIELDS, RunSpec
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -47,16 +47,24 @@ R = TypeVar("R")
 #: Schema tag stamped on every store line.
 STORE_SCHEMA = "repro.store.v1"
 
-#: Version salt mixed into every spec hash: bump when RunSpec semantics
-#: change incompatibly, so stale stores miss instead of serving results
-#: computed under different rules.
-SPEC_HASH_VERSION = "repro.spec.v4"  # v4: detector registry fields
+#: The content-address rule, stated once: salt -> the RunSpec fields
+#: introduced under it, oldest first.  A spec hashes under the newest salt
+#: whose fields it sets to a non-default value, and the hash covers every
+#: field introduced up to that salt — so a spec that leaves a newer
+#: salt's fields at their defaults keeps the key it had before they
+#: existed.  Add a salt here when RunSpec gains fields that change what a
+#: run computes; fields older than the first salt sit under it.
+SPEC_SALTS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("repro.spec.v3", ()),
+    ("repro.spec.v4", ("detector", "detector_params")),
+)
 
-#: The salt default-detector specs keep hashing under.  A spec that does
-#: not select a non-default detector is semantically identical to its
-#: pre-registry form, so its hash must not move — stores written before
-#: the detector fields existed stay cache hits.
-_PRE_DETECTOR_VERSION = "repro.spec.v3"  # v3: spans knob
+#: RunSpec field defaults, for the salt rule (built once at import).
+_DEFAULTS: dict[str, Any] = {
+    f.name: (f.default if f.default is not dataclasses.MISSING
+             else f.default_factory())
+    for f in dataclasses.fields(RunSpec)
+}
 
 
 def canonical_spec(spec: RunSpec) -> dict[str, Any]:
@@ -65,30 +73,24 @@ def canonical_spec(spec: RunSpec) -> dict[str, Any]:
 
 
 def spec_hash(spec: RunSpec) -> str:
-    """Canonical content address of one run: sha256 over the versioned,
-    key-sorted JSON encoding of every spec field.
+    """Canonical content address of one run: sha256 over the salted,
+    key-sorted JSON encoding of the spec's fields under :data:`SPEC_SALTS`.
 
     Two equal specs hash equally regardless of construction path
     (``RunSpec`` vs ``Scenario``, JSON vs kwargs), and the hash is stable
-    across processes, machines, and worker counts.
-
-    Compatibility: a spec on the default detector with no parameter
-    overrides hashes exactly as it did before the registry fields existed
-    (the detector fields are dropped and the pre-registry version salt is
-    used), so stored results keyed under ``repro.spec.v3`` keep serving as
-    cache hits.  Selecting any other detector — or overriding parameters —
-    changes the simulated run, so those fields join the payload under the
-    ``repro.spec.v4`` salt and the key moves.
+    across processes, machines, and worker counts.  Fields removed from
+    ``RunSpec`` are hashed at their one remaining value
+    (:data:`~repro.runtime.spec.REMOVED_FIELDS`), so keys written while
+    they existed still match.
     """
-    fields = canonical_spec(spec)
-    if (fields.get("detector") == "eventually_perfect"
-            and not fields.get("detector_params")):
-        fields.pop("detector", None)
-        fields.pop("detector_params", None)
-        version = _PRE_DETECTOR_VERSION
-    else:
-        version = SPEC_HASH_VERSION
-    payload = {"version": version, "spec": fields}
+    fields = {**REMOVED_FIELDS, **canonical_spec(spec)}
+    newest = max((i for i, (_, names) in enumerate(SPEC_SALTS)
+                  if any(fields[n] != _DEFAULTS[n] for n in names)),
+                 default=0)
+    for _, names in SPEC_SALTS[newest + 1:]:
+        for name in names:
+            del fields[name]
+    payload = {"version": SPEC_SALTS[newest][0], "spec": fields}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

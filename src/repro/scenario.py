@@ -10,7 +10,7 @@ Downstream users rarely want to wire engines by hand; a
         "graph": "ring:5",
         "algorithm": "wf-ewx",        # wf-ewx | hygienic | deferred |
                                       # manager | fair:<k>
-        "oracle": "hb",               # hb | perfect
+        "detector": "eventually_perfect",  # any registry name
         "client": "eager:2",          # eager:<steps> | periodic
         "crashes": {"p1": 400.0},
         "seed": 7,

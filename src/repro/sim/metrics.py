@@ -13,20 +13,13 @@ properties.  :func:`collect_metrics` publishes the engine-side facts the
 registry did not already hold (virtual time, processed events, per-
 process step counts — as ``sim.*`` gauges) and freezes one snapshot that
 backs both ``RunResult.metrics`` and ``RunResult.obs``.
-
-.. deprecated::
-    Constructing ``RunMetrics`` from loose keyword values
-    (``RunMetrics(virtual_time=..., messages_sent=...)``) predates the
-    registry and is kept only for backward compatibility — it builds a
-    synthetic snapshot under the hood (see :meth:`RunMetrics.from_values`).
-    New code should read metrics off a run's snapshot instead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping
 
-from repro.obs.registry import MetricsRegistry, MetricsSnapshot
+from repro.obs.registry import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -63,44 +56,8 @@ class RunMetrics:
 
     __slots__ = ("snapshot",)
 
-    def __init__(self, snapshot: Optional[MetricsSnapshot] = None,
-                 **legacy: Any) -> None:
-        if snapshot is None:
-            # Deprecated keyword-value construction (see module docstring).
-            snapshot = RunMetrics.from_values(**legacy).snapshot
-        elif legacy:
-            raise TypeError(
-                "pass either a MetricsSnapshot or legacy keyword values, "
-                "not both")
+    def __init__(self, snapshot: MetricsSnapshot) -> None:
         self.snapshot = snapshot
-
-    @classmethod
-    def from_values(
-        cls,
-        virtual_time: float = 0.0,
-        events_processed: int = 0,
-        messages_sent: int = 0,
-        messages_delivered: int = 0,
-        messages_by_kind: Optional[Mapping[str, int]] = None,
-        steps_by_process: Optional[Mapping[str, int]] = None,
-        messages_dropped: int = 0,
-        messages_duplicated: int = 0,
-        retransmissions: int = 0,
-    ) -> "RunMetrics":
-        """Build a view over a synthetic snapshot (tests, legacy callers)."""
-        reg = MetricsRegistry()
-        reg.gauge(_G_VIRTUAL_TIME).set(float(virtual_time))
-        reg.gauge(_G_EVENTS).set(float(events_processed))
-        reg.counter(_C_SENT).inc(messages_sent)
-        reg.counter(_C_DELIVERED).inc(messages_delivered)
-        reg.counter(_C_DROPPED).inc(messages_dropped)
-        reg.counter(_C_DUPLICATED).inc(messages_duplicated)
-        reg.counter(_C_RETRANSMISSIONS).inc(retransmissions)
-        for kind, n in (messages_by_kind or {}).items():
-            reg.counter(_C_SENT, kind=kind).inc(n)
-        for pid, n in (steps_by_process or {}).items():
-            reg.gauge("sim.steps", process=str(pid)).set(float(n))
-        return cls(reg.snapshot())
 
     # -- the historical fields, now registry-backed --------------------------
 

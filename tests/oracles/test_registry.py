@@ -1,5 +1,5 @@
-"""The detector registry: specs, errors, legacy mapping, and end-to-end
-equivalence of every registered detector on a real run."""
+"""The detector registry: specs, errors, stored-spec compatibility, and
+end-to-end equivalence of every registered detector on a real run."""
 
 import hashlib
 
@@ -16,6 +16,7 @@ from repro.oracles.registry import (
 )
 from repro.runtime.builder import execute
 from repro.runtime.spec import RunSpec
+from repro.runtime.store import spec_hash
 
 EXPECTED_NAMES = {"eventually_perfect", "perfect", "trusting", "strong",
                   "eventually_strong", "omega", "flawed_cm"}
@@ -71,14 +72,6 @@ class TestDetectorSpec:
         assert merged["initial_timeout"] == 20
         assert merged["heartbeat_period"] == 4  # default preserved
 
-    def test_from_legacy_oracle(self):
-        hb = DetectorSpec.from_legacy_oracle("hb")
-        assert hb.name == DEFAULT_DETECTOR
-        assert hb.merged_params()["initial_timeout"] == 10
-        assert DetectorSpec.from_legacy_oracle("perfect").name == "perfect"
-        with pytest.raises(ConfigurationError, match="unknown oracle"):
-            DetectorSpec.from_legacy_oracle("psychic")
-
 
 class TestRunSpecIntegration:
     def test_runspec_validates_detector_eagerly(self):
@@ -87,25 +80,21 @@ class TestRunSpecIntegration:
         with pytest.raises(ConfigurationError, match="accepted"):
             RunSpec(detector_params={"bogus": 1})
 
-    def test_legacy_oracle_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="detector"):
-            RunSpec(oracle="perfect")
-
     def test_oracle_conflicts_with_detector(self):
-        with pytest.raises(ConfigurationError, match="deprecated"):
-            RunSpec(oracle="perfect", detector="trusting")
+        # A stored spec whose removed oracle key selects another detector
+        # is rejected, not silently run under its detector field.
+        with pytest.raises(ConfigurationError, match="detector="):
+            RunSpec.from_dict({"oracle": "perfect", "detector": "trusting"})
 
     def test_legacy_oracle_runs_identically_to_registry_name(self):
-        # oracle="perfect" and detector="perfect" must be the same run,
-        # bit for bit (trace digests compare full record streams).
-        with pytest.warns(DeprecationWarning):
-            legacy = RunSpec(graph="ring:3", seed=5, max_time=300.0,
-                             crashes={"p1": 120.0}, oracle="perfect")
-        modern = RunSpec(graph="ring:3", seed=5, max_time=300.0,
-                         crashes={"p1": 120.0}, detector="perfect")
-        a, b = execute(legacy), execute(modern)
-        assert _digest(a) == _digest(b)
-        assert a.summary()["wait_free"] == b.summary()["wait_free"]
+        # Stored spec dicts carry the removed oracle="hb" key; loaded, they
+        # must be the registry-default run under the same content key.
+        fields = {"graph": "ring:3", "seed": 5, "max_time": 300.0,
+                  "crashes": {"p1": 120.0}}
+        legacy = RunSpec.from_dict(dict(fields, oracle="hb"))
+        modern = RunSpec(**fields, detector=DEFAULT_DETECTOR)
+        assert legacy == modern
+        assert spec_hash(legacy) == spec_hash(modern)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))

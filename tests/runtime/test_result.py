@@ -8,12 +8,16 @@ from repro.runtime.result import RunResult
 from repro.sim.metrics import RunMetrics
 
 
-def make_metrics(**over):
-    base = dict(virtual_time=100.0, events_processed=10, messages_sent=5,
-                messages_delivered=5, messages_by_kind={}, steps_by_process={},
-                messages_dropped=1, messages_duplicated=2, retransmissions=3)
-    base.update(over)
-    return RunMetrics(**base)
+def make_metrics():
+    reg = MetricsRegistry()
+    reg.gauge("sim.virtual_time").set(100.0)
+    reg.gauge("sim.events_processed").set(10)
+    reg.counter("net.messages_sent").inc(5)
+    reg.counter("net.messages_delivered").inc(5)
+    reg.counter("net.messages_dropped").inc(1)
+    reg.counter("net.messages_duplicated").inc(2)
+    reg.counter("transport.retransmissions").inc(3)
+    return RunMetrics(reg.snapshot())
 
 
 class TestSummaryWithoutMetrics:

@@ -33,8 +33,8 @@ class TestSpecHash:
         # existing store, so it must show up as a test diff, not a
         # mystery cache miss.
         h = spec_hash(RunSpec(graph="ring:3", seed=1, max_time=100.0))
-        assert len(h) == 64 and h == spec_hash(
-            RunSpec(graph="ring:3", seed=1, max_time=100.0))
+        assert h == ("2b580faf7706cea11a4aa20c1cdf6a94"
+                     "726519c3d599ef99d05131cec0c7b3dd")
 
     def test_pre_detector_stores_stay_cache_hits(self):
         # Digests computed BEFORE the detector registry existed: specs
@@ -53,19 +53,33 @@ class TestSpecHash:
         for got, expected in pins.items():
             assert got == expected
 
-    def test_legacy_oracle_spec_keeps_its_key(self):
-        # oracle="perfect" predates the registry; its stored results
-        # must survive the deprecation of the knob.
-        with pytest.warns(DeprecationWarning):
-            spec = RunSpec(oracle="perfect")
-        assert spec_hash(spec) == ("fe4fdc6cc0239e0aaa37eab1c2084ab5"
-                                   "61fff2371c325f3570f4bebbb48aba6c")
-
     def test_chaos_built_spec_keeps_its_key(self):
         from repro.chaos import ChaosConfig, build_run
         spec = build_run(2885616951, ChaosConfig(max_time=400.0))
         assert spec_hash(spec) == ("a8784bef3ab9c8e6ffeccadb17ecf272"
                                    "55998aec986b6acb5297575e38c22c23")
+
+    def test_detector_specs_keep_their_keys(self):
+        # Pinned under the repro.spec.v4 salt: specs that select a
+        # non-default detector or override its parameters hash every
+        # field, the detector fields included.
+        pins = {
+            # default detector, tuned timeout (the benchmark pool shape)
+            "2e4763ff30472c7cdad19800b919889c"
+            "755b0e2489a59cda95c683a78ce69682":
+                RunSpec(graph="ring:4", seed=7,
+                        detector_params={"initial_timeout": 30}),
+            "a5ebea4bf47c3b55d78c04886520a540"
+            "9eb8f7cbd705e0f3f6b63b76e74d39b3":
+                RunSpec(graph="ring:4", seed=7, detector="omega"),
+            "068247e5d3d677065191a08819d8216c"
+            "3b0db2e63f6b4039a4a5137457add666":
+                RunSpec(graph="ring:4", seed=7, detector="omega",
+                        detector_params={"heartbeat_period": 6,
+                                         "initial_timeout": 8}),
+        }
+        for expected, spec in pins.items():
+            assert spec_hash(spec) == expected
 
     def test_non_default_detector_changes_the_key(self):
         base = RunSpec(graph="ring:4", seed=7)

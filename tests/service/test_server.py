@@ -14,6 +14,7 @@ invariants from the service's contract are pinned here:
 import pytest
 
 import repro
+from repro.errors import ConfigurationError
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import canonical_spec, spec_hash
 from repro.service import (
@@ -199,6 +200,48 @@ def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
         client.wait(sub["job"], timeout=60)
     finally:
         assert embedded.shutdown() is True
+
+
+#: SPEC as journals written before ``RunSpec.oracle`` was removed hold it:
+#: the ``canonical_spec`` dict of that release, ``"oracle": "hb"``
+#: included, under the spec key that release computed.
+LEGACY_JOURNALED_SPEC = {
+    "name": "run", "graph": "ring:3", "algorithm": "wf-ewx",
+    "oracle": "hb", "client": "eager:2", "crashes": {}, "seed": 23,
+    "gst": 120.0, "max_time": 200.0, "grace": 120.0, "drop": 0.0,
+    "duplicate": 0.0, "partition": None, "transport": None, "slow": None,
+    "trace": "full", "record_messages": False, "obs": True,
+    "spans": False, "pairs": "all", "allow_disconnected": False,
+    "detector": "eventually_perfect", "detector_params": {},
+}
+LEGACY_SPEC_KEY = ("9fee732f596246c09f3f027479070ea1"
+                   "9381c402489ff1e803543c64a6997a43")
+
+
+def test_journal_written_with_oracle_field_replays(tmp_path):
+    """An incomplete job journaled with the removed ``oracle`` key
+    replays to done after restart, under its original spec key."""
+    config = ServiceConfig(store_path=str(tmp_path / "store.jsonl"), port=0)
+    job = Job("j3", "run", [dict(LEGACY_JOURNALED_SPEC)], [LEGACY_SPEC_KEY])
+    JobJournal(config.journal).record_submit(job)
+
+    embedded = EmbeddedService(config)
+    host, port = embedded.start()
+    try:
+        client = Client(host, port)
+        final = client.wait("j3", timeout=120)
+        assert final["state"] == "done" and final["done"] == 1
+        served = client.result_bytes(LEGACY_SPEC_KEY)
+    finally:
+        assert embedded.shutdown() is True
+    assert spec_hash(RunSpec.from_dict(LEGACY_JOURNALED_SPEC)) == \
+        LEGACY_SPEC_KEY
+    assert served == payload_bytes(result_payload(repro.run(SPEC)))
+
+
+def test_removed_oracle_value_names_the_detector_knob():
+    with pytest.raises(ConfigurationError, match='detector="perfect"'):
+        RunSpec.from_dict({"oracle": "perfect"})
 
 
 def _metric(client: Client, name: str) -> float:

@@ -1,11 +1,25 @@
 """Tests for the declarative scenario runner."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime.store import spec_hash
 from repro.scenario import Scenario, parse_graph
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+#: Content keys of the shipped example scenarios, computed when the files
+#: still carried the removed ``"oracle": "hb"`` key: dropping it must
+#: not move them.
+EXAMPLE_KEYS = {
+    "fair_clique.json": ("8afe4ab741e6e5116fc54878ca105397"
+                         "0e5b4b9c4bc0c42e2e04ce0b82f6fb4f"),
+    "ring_one_crash.json": ("411d30869aec9154c3d6890a6561302674"
+                            "db459857be2c3c4c1877976d71a67f"),
+}
 
 
 class TestParseGraph:
@@ -117,7 +131,7 @@ class TestScenarioRuns:
         assert rep.ok, rep.render()
 
     def test_perfect_oracle_scenario_perpetually_exclusive(self):
-        rep = Scenario(graph="ring:3", oracle="perfect",
+        rep = Scenario(graph="ring:3", detector="perfect",
                        crashes={"p1": 300.0}, seed=9, max_time=1200.0).run()
         assert rep.ok and rep.exclusion.perpetual_ok
 
@@ -140,6 +154,13 @@ class TestScenarioCLI:
         assert main(["scenario", "examples/scenarios/ring_one_crash.json"]) == 0
         out = capsys.readouterr().out
         assert "wait-free" in out
+
+    def test_shipped_scenarios_load_and_keep_their_keys(self):
+        paths = sorted((EXAMPLES / "scenarios").glob("*.json"))
+        assert {p.name for p in paths} == set(EXAMPLE_KEYS)
+        for path in paths:
+            assert spec_hash(Scenario.from_json(path)) == \
+                EXAMPLE_KEYS[path.name], path.name
 
 
 class TestSweepCLI:
