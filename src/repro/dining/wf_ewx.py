@@ -89,9 +89,41 @@ class EWXDiner(DinerComponent):
 
     # -- protocol actions ------------------------------------------------------
 
-    @action(guard=lambda self: self.state is DinerState.HUNGRY
-            and any(not self.fork[q] and self.token[q] and q not in self._requested
-                    for q in self.neighbors))
+    # Guards are plain loops rather than any()/all() over a generator:
+    # they are probed on nearly every step.
+
+    def _can_request(self) -> bool:
+        """Hungry, with a missing fork whose request token we hold."""
+        if self._state is not DinerState.HUNGRY:
+            return False
+        fork, token, requested = self.fork, self.token, self._requested
+        for q in self.neighbors:
+            if not fork[q] and token[q] and q not in requested:
+                return True
+        return False
+
+    def _can_yield(self) -> bool:
+        """Not eating, with a requested dirty fork."""
+        if self._state is DinerState.EATING:
+            return False
+        fork, dirty, token = self.fork, self.dirty, self.token
+        for q in self.neighbors:
+            if token[q] and fork[q] and dirty[q]:
+                return True
+        return False
+
+    def _can_eat(self) -> bool:
+        """Hungry, and per neighbor the fork or a suspicion (``suspect(q)``
+        is asked only where the fork is missing)."""
+        if self._state is not DinerState.HUNGRY:
+            return False
+        fork, suspect = self.fork, self.suspect
+        for q in self.neighbors:
+            if not fork[q] and not suspect(q):
+                return False
+        return True
+
+    @action(guard=_can_request)
     def request_missing_forks(self) -> None:
         """Hungry and missing forks: spend request tokens."""
         for q in self.neighbors:
@@ -100,9 +132,7 @@ class EWXDiner(DinerComponent):
                 self._requested.add(q)
                 self.send(q, self.name, "req")
 
-    @action(guard=lambda self: self.state is not DinerState.EATING
-            and any(self.token[q] and self.fork[q] and self.dirty[q]
-                    for q in self.neighbors))
+    @action(guard=_can_yield)
     def yield_dirty_forks(self) -> None:
         """Honour requests: a dirty fork goes to the requester, stamped
         with our meal recency so the receiver can orient it."""
@@ -154,8 +184,7 @@ class EWXDiner(DinerComponent):
             return mine[1] < their_meal[1]
         return self.pid > q
 
-    @action(guard=lambda self: self.state is DinerState.HUNGRY
-            and all(self.fork[q] or self.suspect(q) for q in self.neighbors))
+    @action(guard=_can_eat)
     def enter_critical_section(self) -> None:
         """The ◇WX scheduling rule: fork OR suspicion, for every neighbor."""
         self._begin_eating()

@@ -71,13 +71,16 @@ class EventuallyPerfectDetector(OracleModule):
     @action(guard=lambda self: True)
     def tick(self) -> None:
         self.ticks += 1
-        if self.ticks % self.heartbeat_period == 0:
+        ticks = self.ticks
+        if ticks % self.heartbeat_period == 0:
             for q in self.monitored:
                 self.send(q, self.name, "hb")
+        # Reads the output and timeout maps directly: this loop runs once
+        # per peer per step.  set_suspected writes the same _suspected map.
+        suspected, last_hb, timeout = (
+            self._suspected, self._last_hb, self._timeout)
         for q in self.monitored:
-            if not self.suspected(q) and (
-                self.ticks - self._last_hb[q] > self._timeout[q]
-            ):
+            if not suspected[q] and ticks - last_hb[q] > timeout[q]:
                 self.set_suspected(q, True)
 
     @receive("hb")
@@ -86,7 +89,7 @@ class EventuallyPerfectDetector(OracleModule):
         if q not in self._last_hb:
             return  # heartbeat from an unmonitored process: ignore
         self._last_hb[q] = self.ticks
-        if self.suspected(q):
+        if self._suspected[q]:
             # Mistake detected: trust again and back off the timeout.
             self.mistakes += 1
             self._timeout[q] *= self.backoff

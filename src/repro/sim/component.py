@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, CrashedProcessError, SimulationError
 from repro.types import Message, ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,6 +92,26 @@ class BoundAction:
         return self.qname
 
 
+def _action_specs(cls: type) -> tuple[tuple[str, tuple], ...]:
+    """``(attribute, spec)`` for every action of ``cls``: classes in MRO
+    order, each in definition order, skipping a name already collected
+    from a more-derived class.  Scanned once per class, cached on it."""
+    cached = cls.__dict__.get("_action_spec_cache")
+    if cached is None:
+        out: list[tuple[str, tuple]] = []
+        seen: set[str] = set()
+        for klass in cls.__mro__:
+            for attr, fn in vars(klass).items():
+                spec = getattr(fn, "_action_spec", None)
+                if spec is None or attr in seen:
+                    continue
+                seen.add(attr)
+                out.append((attr, spec))
+        cached = tuple(out)
+        setattr(cls, "_action_spec_cache", cached)
+    return cached
+
+
 class Component:
     """Base class for guarded-action threads.
 
@@ -114,23 +134,17 @@ class Component:
     def bound_actions(self) -> list[BoundAction]:
         """Collect this instance's actions in class-definition order."""
         out: list[BoundAction] = []
-        seen: set[str] = set()
-        for klass in type(self).__mro__:
-            for attr, fn in vars(klass).items():
-                spec = getattr(fn, "_action_spec", None)
-                if spec is None or attr in seen:
-                    continue
-                seen.add(attr)
-                bound = getattr(self, attr)
-                if spec[0] == "internal":
-                    _, guard, name = spec
-                    out.append(BoundAction(self, name, "internal", guard, bound))
-                else:
-                    _, kind, guard, name = spec
-                    out.append(
-                        BoundAction(self, name, "receive", guard, bound,
-                                    message_kind=kind)
-                    )
+        for attr, spec in _action_specs(type(self)):
+            bound = getattr(self, attr)
+            if spec[0] == "internal":
+                _, guard, name = spec
+                out.append(BoundAction(self, name, "internal", guard, bound))
+            else:
+                _, kind, guard, name = spec
+                out.append(
+                    BoundAction(self, name, "receive", guard, bound,
+                                message_kind=kind)
+                )
         return out
 
     # -- facilities available to effects -----------------------------------
@@ -142,14 +156,23 @@ class Component:
 
     def send(self, to: ProcessId, tag: str, kind: str, **payload: Any) -> None:
         """Send a message; delivery is reliable, delayed, non-FIFO."""
-        self._process().send(
-            Message(sender=self.pid, receiver=to, tag=tag, kind=kind,
-                    payload=payload)
-        )
+        # Straight to the network: one send per action step makes this
+        # the hottest algorithm-side path.
+        proc = self.process
+        if proc is None or proc.crashed or proc._engine is None:
+            proc = self._process()  # raises when detached
+            if proc.crashed:
+                raise CrashedProcessError(
+                    f"crashed process {proc.pid} cannot send")
+            proc._require_engine()  # raises when unbound
+        proc._engine.network.send(Message(proc.pid, to, tag, kind, payload))
 
     def record(self, kind: str, **data: Any) -> None:
         """Append a structured record to the run trace."""
-        self._process().record(kind, component=self.name, **data)
+        proc = self.process
+        if proc is None or proc._engine is None:
+            self._process()._require_engine()  # raises: detached or unbound
+        proc._engine.trace.record(kind, proc.pid, component=self.name, **data)
 
     def other_component(self, name: str) -> "Component":
         """Access a sibling component on the same process.

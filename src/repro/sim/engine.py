@@ -100,7 +100,7 @@ class Engine:
         #: ``config.obs``) the convergence probes all report here.
         self.registry = MetricsRegistry()
         self.trace = Trace(sink=self.config.trace_sink)
-        self.trace.bind_clock(lambda: self.clock.now)
+        self.trace.bind_sim_clock(self.clock)
         self.probes: Optional[RunProbes] = None
         if self.config.obs:
             self.probes = RunProbes(self.registry)
@@ -184,21 +184,27 @@ class Engine:
         ``stop_when`` is polled every ``check_every_events`` processed events
         and ends the run early when it returns True.
         """
-        horizon = self.config.max_time if until is None else float(until)
+        config = self.config
+        horizon = config.max_time if until is None else float(until)
         self._stopped = False
         since_check = 0
-        # Hot loop: locals for everything touched per event, dispatch
-        # inlined (no _dispatch call), clock advanced by direct slot write
-        # after the same backwards check Clock.advance_to performs.  The
-        # event counter is kept in a local and synced back in the finally
-        # block so it stays correct when a handler raises.
+        # Hot loop: locals for everything touched per event, dispatch and
+        # the step event inlined, clock advanced by direct slot write after
+        # the same backwards check Clock.advance_to performs.  The event
+        # counter is kept in a local and synced back in the finally block
+        # so it stays correct when a handler raises.
         heap = self._heap
         pop = heapq.heappop
+        push = heapq.heappush
+        seq = self._seq
         clock = self.clock
-        do_step = self._do_step
+        processes = self.processes
+        step_cache = self._step_cache
+        policy = config.step_policy
+        step_min, step_max = config.step_min, config.step_max
         do_deliver = self._do_deliver
         do_crash = self._do_crash
-        max_events = self.config.max_events
+        max_events = config.max_events
         events = self.events_processed
         try:
             while heap and not self._stopped:
@@ -214,7 +220,21 @@ class Engine:
                 clock._now = t
                 kind = item[2]
                 if kind == "step":
-                    do_step(item[3])
+                    # One atomic step, then the next one after a delay
+                    # drawn from the process's own step stream.
+                    pid = item[3]
+                    proc = processes[pid]
+                    if not proc.crashed:
+                        proc.step()
+                        entry = step_cache.get(pid)
+                        if entry is None:
+                            entry = self._step_state(pid)
+                        rng, speed = entry
+                        if policy is not None:
+                            delay = policy.next_delay(pid, t, rng)
+                        else:
+                            delay = rng.uniform(step_min, step_max)
+                        push(heap, (t + delay * speed, next(seq), "step", pid))
                 elif kind == "deliver":
                     do_deliver(item[3])
                 elif kind == "crash":
@@ -226,7 +246,7 @@ class Engine:
                 events += 1
                 if events >= max_events:
                     raise SimulationError(
-                        f"event cap exceeded ({self.config.max_events}); "
+                        f"event cap exceeded ({max_events}); "
                         f"trace sink {self.trace.mode!r} retains "
                         f"{len(self.trace)} of {self.trace.total_recorded} "
                         f"records ({self.trace.evicted} evicted) — "
@@ -267,18 +287,6 @@ class Engine:
     def _push(self, t: Time, kind: str, payload: object) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
 
-    def _dispatch(self, kind: str, payload: object) -> None:
-        if kind == "step":
-            self._do_step(payload)  # type: ignore[arg-type]
-        elif kind == "deliver":
-            self._do_deliver(payload)  # type: ignore[arg-type]
-        elif kind == "crash":
-            self._do_crash(payload)  # type: ignore[arg-type]
-        elif kind == "call":
-            payload()  # type: ignore[operator]
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event kind {kind!r}")
-
     def _step_state(self, pid: ProcessId) -> tuple[object, float]:
         """Build (and cache) the per-process step-scheduling entry."""
         policy = self.config.step_policy
@@ -291,24 +299,6 @@ class Engine:
         entry = (rng, float(self.config.speeds.get(pid, 1.0)))
         self._step_cache[pid] = entry
         return entry
-
-    def _do_step(self, pid: ProcessId) -> None:
-        proc = self.processes[pid]
-        if proc.crashed:
-            return
-        proc.step()
-        entry = self._step_cache.get(pid)
-        if entry is None:
-            entry = self._step_state(pid)
-        rng, speed = entry
-        now = self.clock._now
-        policy = self.config.step_policy
-        if policy is not None:
-            delay = policy.next_delay(pid, now, rng)
-        else:
-            delay = rng.uniform(self.config.step_min, self.config.step_max)
-        heapq.heappush(self._heap,
-                       (now + delay * speed, next(self._seq), "step", pid))
 
     def _do_deliver(self, msg: Message) -> None:
         proc = self.processes.get(msg.receiver)
@@ -331,7 +321,7 @@ class Engine:
         else:
             bucket.append(msg)
         proc._inbox_count += 1
-        network._c_delivered.inc()
+        network._c_delivered.value += 1.0
         if self.config.record_messages:
             self.trace.record(
                 "deliver", pid=msg.receiver, frm=msg.sender, tag=msg.tag,

@@ -32,6 +32,7 @@ Delay models encode the synchrony assumptions:
 from __future__ import annotations
 
 import abc
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -178,6 +179,8 @@ class Network:
         self._kinds_dropped: set[str] = set()
         # Per-kind counter caches: labelled registry lookups format a label
         # suffix on every call, far too slow for the per-message path.
+        # That path also bumps ``counter.value`` directly, which is what
+        # ``Counter.inc()`` does, minus the call.
         self._c_sent_kind: dict[str, object] = {}
         self._c_dropped_kind: dict[str, object] = {}
 
@@ -241,14 +244,14 @@ class Network:
         """
         engine = self._engine
         assert engine is not None, "network not bound to an engine"
-        self._c_sent.inc()
+        self._c_sent.value += 1.0
         kind = msg.kind
         c_kind = self._c_sent_kind.get(kind)
         if c_kind is None:
             c_kind = self._registry.counter("net.messages_sent", kind=kind)
             self._c_sent_kind[kind] = c_kind
             self._kinds_sent.add(kind)
-        c_kind.inc()
+        c_kind.value += 1.0
         if self.on_send is not None:
             self.on_send(msg)
         if engine.config.record_messages:
@@ -259,8 +262,18 @@ class Network:
         transport = self.transport
         if transport is not None and msg.tag != TRANSPORT_TAG:
             transport.wrap_and_send(msg)
-        else:
+        elif self.fault_model is not None:
             self.transmit(msg)
+        else:
+            # Reliable wire, one copy: what transmit() does in that case,
+            # the same delay draw and heap entry, without the two frames.
+            delay_model = self.delay_model
+            if delay_model is not self._wire_model:
+                self._rebind_wire_rng()
+            now = engine.clock._now
+            heappush(engine._heap,
+                     (now + delay_model.delay(msg, now, self._rng_wire),
+                      next(engine._seq), "deliver", msg))
 
     def transmit(self, msg: Message) -> None:
         """Put ``msg`` on the raw wire: fault verdict, then delay per copy."""
@@ -271,7 +284,7 @@ class Network:
         if self.fault_model is not None:
             fate = self.fault_model.fate(msg, now, self._rng_faults)
             if fate.copies == 0:
-                self._c_dropped.inc()
+                self._c_dropped.value += 1.0
                 kind = msg.kind
                 c_kind = self._c_dropped_kind.get(kind)
                 if c_kind is None:
@@ -279,7 +292,7 @@ class Network:
                         "net.messages_dropped", kind=kind)
                     self._c_dropped_kind[kind] = c_kind
                     self._kinds_dropped.add(kind)
-                c_kind.inc()
+                c_kind.value += 1.0
                 if engine.config.record_messages:
                     engine.trace.record(
                         "drop", pid=msg.sender, to=msg.receiver, tag=msg.tag,
@@ -287,7 +300,7 @@ class Network:
                     )
                 return
             if fate.copies > 1:
-                self._c_duplicated.inc()
+                self._c_duplicated.value += 1.0
             copies = fate.copies
         delay_model = self.delay_model
         if delay_model is not self._wire_model:
@@ -302,7 +315,7 @@ class Network:
                 engine._push(now + d, "deliver", msg)
 
     def note_delivered(self, msg: Message) -> None:
-        self._c_delivered.inc()
+        self._c_delivered.value += 1.0
 
 
 def mean_delay_estimate(model: DelayModel, now: Time, samples: int = 256,

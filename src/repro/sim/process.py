@@ -13,7 +13,7 @@ often (weak fairness).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError, CrashedProcessError, SimulationError
 from repro.sim.component import BoundAction, Component
@@ -77,14 +77,6 @@ class Process:
 
     # -- facilities used by components ---------------------------------------
 
-    def send(self, msg: Message) -> None:
-        if self.crashed:
-            raise CrashedProcessError(f"crashed process {self.pid} cannot send")
-        self._require_engine().network.send(msg)
-
-    def record(self, kind: str, **data: Any) -> None:
-        self._require_engine().trace.record(kind, pid=self.pid, **data)
-
     def env_now(self) -> Time:
         """Environment-only access to the global clock.
 
@@ -127,9 +119,9 @@ class Process:
         n = len(actions)
         if n == 0:
             return None
-        # Round-robin scan with _try_fire inlined: this is the single
-        # hottest process-side path, and most probed actions are disabled
-        # (guard False or no matching message), so the scan must be cheap.
+        # Round-robin scan: this is the single hottest process-side path,
+        # and most probed actions are disabled (guard False or no matching
+        # message), so the scan must be cheap.
         rotation = self._rotation
         inbox = self._inbox
         for offset in range(n):
@@ -149,18 +141,13 @@ class Process:
                 if not bucket:
                     continue
                 want_kind = act.message_kind
-                hit = -1
                 for i, msg in enumerate(bucket):
-                    if want_kind is not None and msg.kind != want_kind:
-                        continue
-                    if guard is not None and not guard(act.component, msg):
-                        continue
-                    hit = i
-                    break
-                if hit < 0:
+                    if ((want_kind is None or msg.kind == want_kind)
+                            and (guard is None or guard(act.component, msg))):
+                        break
+                else:
                     continue
-                msg = bucket[hit]
-                del bucket[hit]
+                del bucket[i]
                 self._inbox_count -= 1
                 act.effect(msg)
             self._rotation = idx + 1 if idx + 1 < n else 0
@@ -168,26 +155,6 @@ class Process:
         return None
 
     # -- internals --------------------------------------------------------------
-
-    def _try_fire(self, act: BoundAction) -> bool:
-        """Fire ``act`` if enabled (kept for tests; ``step`` inlines this)."""
-        if act.kind == "internal":
-            if act.guard is not None and not act.guard(act.component):
-                return False
-            act.effect()
-            return True
-        # receive action: find the earliest-buffered matching message
-        bucket = self._inbox.get(act.component.name, ())
-        for i, msg in enumerate(bucket):
-            if not msg.matches(act.component.name, act.message_kind):
-                continue
-            if act.guard is not None and not act.guard(act.component, msg):
-                continue
-            del bucket[i]
-            self._inbox_count -= 1
-            act.effect(msg)
-            return True
-        return False
 
     def _require_engine(self) -> "Engine":
         if self._engine is None:

@@ -22,6 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from repro.sim.clock import Clock
 from repro.sim.sinks import TraceSink, make_sink
 from repro.types import ProcessId, Time
 
@@ -68,6 +69,7 @@ class Trace:
     def __init__(self, sink: Union[TraceSink, str, None] = None) -> None:
         self._sink = make_sink(sink)
         self._now_fn: Optional[Callable[[], Time]] = None
+        self._clock: Optional[Clock] = None
         self._kind_counts: dict[str, int] = {}
         self._crash_times: dict[ProcessId, Time] = {}
         self._last_time: Time = 0.0
@@ -83,7 +85,12 @@ class Trace:
         self._view_at = -1  # total_recorded the view was built at
 
     def bind_clock(self, now_fn: Callable[[], Time]) -> None:
+        """Stamp records with ``now_fn()`` (standalone traces)."""
         self._now_fn = now_fn
+
+    def bind_sim_clock(self, clock: Clock) -> None:
+        """Stamp records with the engine clock's time, read directly."""
+        self._clock = clock
 
     def subscribe(self, observer: Callable[[TraceRecord], None],
                   kinds: Optional[Iterable[str]] = None) -> None:
@@ -133,6 +140,7 @@ class Trace:
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
         state["_now_fn"] = None   # bound clock closures don't pickle
+        state["_clock"] = None    # the live run's clock stays behind
         state["_observers"] = []  # run-local; may close over live objects
         state["_needed_kinds"] = set()
         del state["_view"], state["_view_at"]  # derived; rebuilt on demand
@@ -140,6 +148,7 @@ class Trace:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
+        self._clock = None
         self._view = {}
         self._view_at = -1
 
@@ -155,7 +164,11 @@ class Trace:
         are still maintained exactly, so nothing observable about the
         trace changes besides the saved construction cost.
         """
-        t = self._now_fn() if self._now_fn is not None else 0.0
+        clock = self._clock
+        if clock is not None:
+            t = clock._now
+        else:
+            t = self._now_fn() if self._now_fn is not None else 0.0
         needed = self._needed_kinds
         if (needed is not None and kind not in needed
                 and not self._sink.retains):

@@ -48,6 +48,7 @@ DINER_CYCLE = (
 )
 
 _msg_counter = itertools.count()
+_MISSING: Any = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +68,20 @@ class Message:
     payload: Mapping[str, Any] = field(default_factory=dict)
     uid: int = field(default_factory=lambda: next(_msg_counter))
 
+    # One is built per send, so the generated frozen __init__ (a
+    # object.__setattr__ call per field, a factory call per default) is
+    # replaced by direct slot writes.  The defaults are the field
+    # defaults above: a fresh dict, and the next counter value.
+    def __init__(self, sender: ProcessId, receiver: ProcessId, tag: str,
+                 kind: str, payload: Mapping[str, Any] = _MISSING,
+                 uid: int = _MISSING) -> None:
+        _set_sender(self, sender)
+        _set_receiver(self, receiver)
+        _set_tag(self, tag)
+        _set_kind(self, kind)
+        _set_payload(self, {} if payload is _MISSING else payload)
+        _set_uid(self, next(_msg_counter) if uid is _MISSING else uid)
+
     def matches(self, tag: str, kind: str | None = None) -> bool:
         """Return True when this message is addressed to ``tag`` (and ``kind``)."""
         if self.tag != tag:
@@ -78,3 +93,12 @@ class Message:
             f"Message({self.sender}->{self.receiver} {self.tag}/{self.kind}"
             f" #{self.uid})"
         )
+
+
+# Slot writers that bypass the frozen __setattr__ (used by Message.__init__).
+_set_sender = Message.sender.__set__
+_set_receiver = Message.receiver.__set__
+_set_tag = Message.tag.__set__
+_set_kind = Message.kind.__set__
+_set_payload = Message.payload.__set__
+_set_uid = Message.uid.__set__

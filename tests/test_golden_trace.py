@@ -11,7 +11,11 @@ kind, pid, and data — for three representative run shapes:
 * one **chaos scenario** (link faults, partition, transport, adversary —
   the batched link-faults/transport/network streams all in play);
 * one **sweep shard** (a declarative scenario under a fanout-derived
-  seed).
+  seed);
+* one ``repro.run()`` of the benchmark's ring shape (``ring:6``, wf-ewx,
+  default ◇P, one crash, full trace) — the densest ◇P/wf-ewx path;
+* one sparse ``rgg:64`` run under ``pairs="neighbors"`` (per-edge
+  monitoring, many components per run).
 
 plus one direct-engine run under a step *policy* and the non-batchable
 :class:`~repro.sim.network.AsynchronousDelays` model (lognormal draws
@@ -34,6 +38,7 @@ stream moved.
 
 import hashlib
 
+import repro
 from repro.runtime.builder import instantiate
 from repro.runtime.seeds import fanout_seeds
 from repro.runtime.spec import RunSpec
@@ -131,3 +136,38 @@ class TestPolicyAndAsyncDelaysGolden:
         eng.run(until=120.0)
         assert eng.events_processed == self.GOLDEN_EVENTS
         assert trace_digest(eng.trace) == self.GOLDEN
+
+
+class TestRingRunGolden:
+    """``repro.run()`` in the shape of the benchmark's ``run_ring`` pool."""
+
+    GOLDEN = "6fc6813adc32356a1d3ca4acb0005e0bb0cf24d485fb1de4bddd4800e8f54423"
+    GOLDEN_EVENTS = 10008
+    GOLDEN_SENT = 3467
+
+    def test_digest_unchanged(self):
+        spec = RunSpec(name="golden-ring", graph="ring:6", seed=6101,
+                       crashes={"p2": 240.0}, max_time=1000.0, trace="full")
+        result = repro.run(spec)
+        assert result.metrics.events_processed == self.GOLDEN_EVENTS
+        assert result.metrics.messages_sent == self.GOLDEN_SENT
+        assert trace_digest(result.trace) == self.GOLDEN
+
+
+class TestSparseNeighborsRunGolden:
+    """A sparse random geometric graph under conflict-graph-local
+    monitoring (``pairs="neighbors"``)."""
+
+    GOLDEN = "9c7174712ab4330e53b9d9b6f76056531618a0ba73c14d3721b076bcc8283267"
+    GOLDEN_EVENTS = 6805
+    GOLDEN_SENT = 2875
+
+    def test_digest_unchanged(self):
+        spec = RunSpec(name="golden-rgg", graph="rgg:64:0.2:3", seed=6401,
+                       pairs="neighbors", allow_disconnected=True,
+                       max_time=50.0, gst=0.0, grace=50.0,
+                       detector_params={"initial_timeout": 30})
+        result = repro.run(spec)
+        assert result.metrics.events_processed == self.GOLDEN_EVENTS
+        assert result.metrics.messages_sent == self.GOLDEN_SENT
+        assert trace_digest(result.trace) == self.GOLDEN
